@@ -13,7 +13,8 @@
 //	delprof -fuse -profile weights.json ...    run fused, priorities from a profile
 //	delprof -runs 200 program.dlr              throughput mode: 200 runs on one reused engine
 //	delprof -adaptive program.dlr              calibrate -> re-fuse -> re-run, keep the winner
-//	delprof -affinity -steals program.dlr      affinity plan + per-worker steal/park report
+//	delprof -affinity program.dlr              affinity plan + simulated placement hit/miss
+//	delprof -sim=false -steals program.dlr     per-worker steal/park report of a real run
 //
 // -trace writes the structured execution trace in Chrome trace-event JSON
 // (load it at ui.perfetto.dev): one track per worker, a slice per node
@@ -54,8 +55,8 @@ func main() {
 		profout  = flag.String("profout", "", "write the measured mean operator costs as a JSON profile here")
 		runs     = flag.Int("runs", 1, "execute the program this many times on one reused engine (throughput mode); listings describe the last run")
 		adaptive = flag.Bool("adaptive", false, "run the adaptive loop: calibrate with timing on, re-fuse and re-plan with measured weights, re-run, keep the winning plan (implies -fuse -memplan)")
-		affinity = flag.Bool("affinity", false, "compile the affinity plan and run with locality hints on (implies -fuse); prints the plan and hit/miss counters")
-		steals   = flag.Bool("steals", false, "print the per-worker steal/park/affinity report (enables tracing)")
+		affinity = flag.Bool("affinity", false, "compile the affinity plan and run with locality hints on (implies -fuse); prints the plan and the placement hit/miss counters, which stay 0 with -sim=false: the real executor ignores hints")
+		steals   = flag.Bool("steals", false, "print the per-worker steal/park report of a real run (-sim=false; enables tracing)")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -200,8 +201,7 @@ func main() {
 	if *affinity {
 		st := eng.Stats()
 		fmt.Printf("\n%s", res.AffinityPlan.Report())
-		fmt.Printf("affinity dispatch: %d hits / %d misses, %d batched steals moving %d tasks\n",
-			st.AffinityHits, st.AffinityMisses, st.BatchSteals, st.BatchStolenTasks)
+		fmt.Printf("affinity placement: %d hits / %d misses\n", st.AffinityHits, st.AffinityMisses)
 	}
 	if *memplan {
 		st := eng.Stats()

@@ -68,13 +68,13 @@ type Options struct {
 	// consumes its measurements.
 	Adaptive bool
 	// Affinity runs the affinity-plan pass (opt.PlanAffinity) after fusion:
-	// every node gets an advisory preferred-producer edge and a weight tier,
-	// which the Real executor (under Config.AffinityHints) turns into
-	// producer-preferred dispatch and batched, locality-ranked stealing, and
-	// the Simulated executor into hint-driven placement. Implies Fuse, since
-	// the tiers come from fusion's bottom levels (and composes with MemPlan,
-	// whose ownership facts pick the block-carrying edges). Hints are
-	// advisory-only: results are bit-identical with the pass on or off.
+	// every node gets an advisory preferred-producer edge, which the
+	// Simulated executor (under Config.AffinityHints) turns into hint-first
+	// placement on NUMA machine profiles. The Real executor ignores the
+	// plan. Implies Fuse, since producers are ranked by fusion's bottom
+	// levels (and composes with MemPlan, whose ownership facts pick the
+	// block-carrying edges). Hints are advisory-only: results are
+	// bit-identical with the pass on or off.
 	Affinity bool
 }
 

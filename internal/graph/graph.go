@@ -171,22 +171,16 @@ type Node struct {
 	// so the longest remaining chain is pulled first.
 	BLevel int64
 
-	// The Aff* fields are stamped by the optional affinity-plan pass
-	// (internal/opt.PlanAffinity) and are zero in unplanned programs. They
-	// are advisory placement hints only: executors consult them to decide
-	// WHERE a ready node runs, never WHETHER or with WHAT inputs, so
-	// enabling them can never change results.
-
-	// AffPreferred is the node id of this node's preferred producer: the
-	// input edge whose value (typically an exclusively-owned block, per the
-	// memory plan) this node should inherit hot in the producer's cache.
-	// -1 when the pass found no single-consumer producer edge (or did not
-	// run — but the zero value is only meaningful under Program.AffinityPlanned).
+	// AffPreferred, stamped by the optional affinity-plan pass
+	// (internal/opt.PlanAffinity), is the node id of this node's preferred
+	// producer: the input edge whose value (typically an exclusively-owned
+	// block, per the memory plan) this node should find local on the
+	// producer's processor. -1 when the pass found no single-consumer
+	// producer edge; meaningful only under Program.AffinityPlanned. It is
+	// an advisory placement hint read by the simulated executor alone: it
+	// decides WHERE a ready node runs, never WHETHER or with WHAT inputs,
+	// so enabling it can never change results.
 	AffPreferred int
-	// AffHeavy marks a node on a heavy chain (top tier by bottom level):
-	// preferred dispatch keeps it on its producer's worker, while light
-	// nodes are left free to migrate to thieves.
-	AffHeavy bool
 }
 
 // Cluster describes one fused supernode: a chain (or delay-free small tree)
@@ -396,8 +390,9 @@ type Program struct {
 	// ready nodes by their static bottom levels.
 	Fused bool
 	// AffinityPlanned records that the affinity-plan pass ran over this
-	// program; executors configured with AffinityHints then activate
-	// producer-preferred dispatch and batched, locality-ranked stealing.
+	// program; a Simulated engine configured with AffinityHints then
+	// places hinted nodes on their preferred producer's processor. The
+	// Real executor ignores the plan.
 	AffinityPlanned bool
 }
 

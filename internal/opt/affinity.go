@@ -1,23 +1,22 @@
 // affinity.go implements the affinity-plan pass: a whole-program sweep
 // over the linked coordination graph that stamps advisory placement hints
-// for the executors (paper §9.3's operator/data affinity, made static).
+// for the simulated executor (paper §9.3's operator/data affinity, made
+// static for the NUMA machine profiles).
 //
 // The pass consumes two earlier analyses. The memory plan's per-edge
 // ownership facts (MemOwnedArgs) identify edges whose value is an
-// exclusively-owned block — exactly the payloads worth keeping hot in the
-// producer's cache. Fusion's bottom levels (BLevel) rank chains by
-// remaining weight, splitting nodes into a heavy tier (on or near the
-// critical path — these should stay on their producer's worker) and a
-// light tier (cheap leaves that thieves may migrate freely).
+// exclusively-owned block — exactly the payloads worth keeping local to
+// the producer's processor. Fusion's bottom levels (BLevel) rank
+// producers by remaining weight.
 //
 // For each schedulable node the pass picks at most one preferred-producer
 // edge: a single-consumer in edge (the producer's only output edge, not
-// split, not the template result) whose completion should hand the node
-// straight to the completing worker's own deque. Owned-block edges win
-// over plain single-consumer edges; among those, the heaviest producer
-// (max BLevel) wins; ties break to the lowest port so the choice is
-// deterministic. Fused cluster heads inherit the best external edge over
-// all members, since deliveries to members gate on the head.
+// split, not the template result) whose producer's processor should run
+// the node. Owned-block edges win over plain single-consumer edges; among
+// those, the heaviest producer (max BLevel) wins; ties break to the lowest
+// port so the choice is deterministic. Fused cluster heads inherit the
+// best external edge over all members, since deliveries to members gate
+// on the head.
 //
 // The hints are advisory only: they influence WHERE a ready node runs,
 // never whether or when it becomes runnable, so results are bit-identical
@@ -41,8 +40,6 @@ type AffinityPlan struct {
 	TotalNodes int
 	// Hinted counts nodes stamped with a preferred producer.
 	Hinted int
-	// Heavy counts hinted nodes in the heavy tier (pinned to producer).
-	Heavy int
 	// OwnedEdges counts hints that ride a memplan-owned port (a proven
 	// exclusively-owned block travels the edge).
 	OwnedEdges int
@@ -59,19 +56,13 @@ type AffinityHint struct {
 	Node     int
 	Label    string
 	Producer int
-	Heavy    bool
 	Owned    bool
 }
 
-// heavyTierDen sets the heavy-tier cut: a hinted node is heavy when its
-// bottom level is at least 1/2 of the template's critical path, i.e. it
-// sits on the upper half of some remaining chain.
-const heavyTierDen = 2
-
-// PlanAffinity stamps every node's affinity fields (AffPreferred,
-// AffHeavy) and returns the report; prog.AffinityPlanned is set so
-// executors configured with AffinityHints activate producer-preferred
-// dispatch. Run it after FuseGraph (for bottom levels and clusters) and
+// PlanAffinity stamps every node's AffPreferred and returns the report;
+// prog.AffinityPlanned is set so a Simulated engine configured with
+// AffinityHints places hinted nodes on their preferred producer's
+// processor. Run it after FuseGraph (for bottom levels and clusters) and
 // PlanMemory (for ownership facts) when those passes are on; without them
 // the pass still produces valid — just less selective — hints.
 func PlanAffinity(prog *graph.Program) *AffinityPlan {
@@ -121,12 +112,6 @@ func eligibleProducer(u *graph.Node, t *graph.Template) bool {
 // process stamps one template and records its report entry.
 func (p *AffinityPlan) process(t *graph.Template) {
 	rep := AffinityPlanTemplate{Name: t.Name}
-	var crit int64
-	for _, nd := range t.Nodes {
-		if nd.BLevel > crit {
-			crit = nd.BLevel
-		}
-	}
 	// Producers per node, one entry per in edge, with the consumer port
 	// (for the ownership lookup).
 	type inEdge struct{ prod, port int }
@@ -207,17 +192,12 @@ func (p *AffinityPlan) process(t *graph.Template) {
 			continue
 		}
 		nd.AffPreferred = best.prod
-		nd.AffHeavy = heavyTierDen*nd.BLevel >= crit
 		p.Hinted++
-		if nd.AffHeavy {
-			p.Heavy++
-		}
 		if bestOwned {
 			p.OwnedEdges++
 		}
 		rep.Hints = append(rep.Hints, AffinityHint{
-			Node: nd.ID, Label: nodeLabel(nd), Producer: best.prod,
-			Heavy: nd.AffHeavy, Owned: bestOwned})
+			Node: nd.ID, Label: nodeLabel(nd), Producer: best.prod, Owned: bestOwned})
 	}
 	p.Templates = append(p.Templates, rep)
 }
@@ -225,23 +205,19 @@ func (p *AffinityPlan) process(t *graph.Template) {
 // Report renders the plan as a human-readable listing for delc/delprof.
 func (p *AffinityPlan) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "affinity plan: %d/%d nodes hinted (%d heavy, %d on owned-block edges)\n",
-		p.Hinted, p.TotalNodes, p.Heavy, p.OwnedEdges)
+	fmt.Fprintf(&b, "affinity plan: %d/%d nodes hinted (%d on owned-block edges)\n",
+		p.Hinted, p.TotalNodes, p.OwnedEdges)
 	for _, t := range p.Templates {
 		if len(t.Hints) == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "template %s:\n", t.Name)
 		for _, h := range t.Hints {
-			tier := "light"
-			if h.Heavy {
-				tier = "heavy"
-			}
 			edge := ""
 			if h.Owned {
-				edge = ", owned block"
+				edge = " (owned block)"
 			}
-			fmt.Fprintf(&b, "  n%d %s <- n%d (%s%s)\n", h.Node, h.Label, h.Producer, tier, edge)
+			fmt.Fprintf(&b, "  n%d %s <- n%d%s\n", h.Node, h.Label, h.Producer, edge)
 		}
 	}
 	return b.String()

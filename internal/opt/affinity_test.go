@@ -106,34 +106,3 @@ func TestAffinityClusterHeadExternalEdge(t *testing.T) {
 		t.Fatal("no hints stamped")
 	}
 }
-
-func TestAffinityHeavyTier(t *testing.T) {
-	// With fusion's bottom levels computed, a hinted node whose remaining
-	// chain spans at least half the critical path lands in the heavy tier.
-	// join sits two ops from the end of a three-op critical path, so its
-	// mk hint must be heavy.
-	src := `main(x)
-  let a = mk()
-      b = use(x)
-      c = join(a, b)
-  in peek(c)`
-	g, _ := plan(t, src, nil)
-	FuseGraph(g, nil)
-	p := PlanAffinity(g)
-	if p.Hinted == 0 {
-		t.Fatal("no hints stamped")
-	}
-	heavy, light := 0, 0
-	for _, tmpl := range p.Templates {
-		for _, h := range tmpl.Hints {
-			if h.Heavy {
-				heavy++
-			} else {
-				light++
-			}
-		}
-	}
-	if heavy == 0 {
-		t.Fatalf("no heavy-tier hints (heavy=%d light=%d)", heavy, light)
-	}
-}

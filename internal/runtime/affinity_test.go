@@ -36,64 +36,85 @@ func compileAffinity(t *testing.T) *graph.Program {
 	return g
 }
 
-// TestAffinityBitIdentity is the tentpole's advisory-only guarantee: with
-// the affinity plan compiled in, results are bit-identical across 1/2/8
-// workers with hints on and off, composed with fusion, the memory plan,
-// and seeded faults under retry.
+// TestAffinityBitIdentity is the advisory-only guarantee: results are
+// bit-identical across 1/2/8 Real workers with hints on and off and in the
+// simulator, composed with fusion, the memory plan, and seeded faults under
+// retry. The Real executor reads no hints, so its affinity counters stay
+// zero; only a Simulated engine running a planned program records hits.
 func TestAffinityBitIdentity(t *testing.T) {
-	g := compileAffinity(t)
-	var ref string
+	planned := compileAffinity(t)
+	type leg struct {
+		name     string
+		g        *graph.Program
+		mode     Mode
+		workers  int
+		hints    bool
+		wantHits bool
+	}
+	var legs []leg
 	for _, workers := range []int{1, 2, 8} {
 		for _, hints := range []bool{false, true} {
-			name := fmt.Sprintf("w%d/hints=%v", workers, hints)
-			cfg := Config{
-				Mode: Real, Workers: workers, MaxOps: 5_000_000,
-				AffinityHints: hints,
-				Retry:         RetryPolicy{MaxAttempts: 3},
-				// Each engine needs a private plan: plans keep cursors.
-				Faults: SeededFaultPlan(7, []string{"rfill"}, 40),
+			legs = append(legs, leg{fmt.Sprintf("real/w%d/hints=%v", workers, hints),
+				planned, Real, workers, hints, false})
+		}
+	}
+	legs = append(legs,
+		leg{"sim/w4/planned", planned, Simulated, 4, true, true})
+	var ref string
+	for _, l := range legs {
+		cfg := Config{
+			Mode: l.mode, Workers: l.workers, MaxOps: 5_000_000,
+			AffinityHints: l.hints,
+			Retry:         RetryPolicy{MaxAttempts: 3},
+			// Each engine needs a private plan: plans keep cursors.
+			Faults: SeededFaultPlan(7, []string{"rfill"}, 40),
+		}
+		e := New(l.g, cfg)
+		v, err := e.Run(value.Int(6))
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		got := fmt.Sprintf("%v", v)
+		if ref == "" {
+			ref = got
+		} else if got != ref {
+			t.Fatalf("%s diverged: got %s want %s", l.name, got, ref)
+		}
+		st := e.Stats()
+		if st.Blocks.Allocated != st.Blocks.Freed {
+			t.Fatalf("%s: block leak: allocated %d freed %d", l.name,
+				st.Blocks.Allocated, st.Blocks.Freed)
+		}
+		if st.BatchSteals != 0 {
+			t.Fatalf("%s: BatchSteals = %d, want 0", l.name, st.BatchSteals)
+		}
+		if l.wantHits {
+			if st.AffinityHits == 0 {
+				t.Fatalf("%s: simulated placement recorded no affinity hits", l.name)
 			}
-			e := New(g, cfg)
-			v, err := e.Run(value.Int(6))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			got := fmt.Sprintf("%v", v)
-			if ref == "" {
-				ref = got
-			} else if got != ref {
-				t.Fatalf("%s diverged: got %s want %s", name, got, ref)
-			}
-			st := e.Stats()
-			if st.Blocks.Allocated != st.Blocks.Freed {
-				t.Fatalf("%s: block leak: allocated %d freed %d", name,
-					st.Blocks.Allocated, st.Blocks.Freed)
-			}
-			if !hints {
-				if st.AffinityHits != 0 || st.AffinityMisses != 0 ||
-					st.BatchSteals != 0 || st.BatchStolenTasks != 0 {
-					t.Fatalf("%s: affinity counters nonzero with hints off: %+v", name, st)
-				}
-			} else if st.AffinityHits+st.AffinityMisses == 0 {
-				t.Fatalf("%s: no preferred dispatches counted on a hinted program", name)
-			}
+		} else if st.AffinityHits != 0 || st.AffinityMisses != 0 {
+			t.Fatalf("%s: affinity counters engaged: hits=%d misses=%d", l.name,
+				st.AffinityHits, st.AffinityMisses)
 		}
 	}
 }
 
 // TestAffinityCountersGatedByPlan: hints in the config alone do nothing —
-// the program must carry a plan for any affinity machinery to engage.
+// the program must carry a plan for any affinity machinery to engage, in
+// either executor.
 func TestAffinityCountersGatedByPlan(t *testing.T) {
 	g := compile(t, affinitySrc, faultOps())
 	opt.PlanMemory(g)
 	opt.FuseGraph(g, nil)
-	e := New(g, Config{Mode: Real, Workers: 4, MaxOps: 5_000_000, AffinityHints: true})
-	if _, err := e.Run(value.Int(5)); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.AffinityHits != 0 || st.AffinityMisses != 0 || st.BatchSteals != 0 {
-		t.Fatalf("affinity counters engaged without a plan: %+v", st)
+	for _, mode := range []Mode{Real, Simulated} {
+		e := New(g, Config{Mode: mode, Workers: 4, MaxOps: 5_000_000, AffinityHints: true})
+		if _, err := e.Run(value.Int(5)); err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		st := e.Stats()
+		if st.AffinityHits != 0 || st.AffinityMisses != 0 || st.BatchSteals != 0 {
+			t.Fatalf("mode %v: affinity counters engaged without a plan: %+v", mode, st)
+		}
 	}
 }
 
@@ -122,71 +143,9 @@ func TestAffinitySimDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchedStealMovesExtras drives the scheduler directly: under
-// affinity, a thief's first successful steal grabs up to half the victim's
-// visible work (capped) onto its own deque, in one sweep.
-func TestBatchedStealMovesExtras(t *testing.T) {
-	var stats Stats
-	s := newStealScheduler(2, &stats, nil)
-	s.affinity = true
-	n := &graph.Node{Name: "op"}
-	for i := 0; i < 10; i++ {
-		s.pushLocalQuiet(1, &task{node: n, from: 1}, PriNormal)
-	}
-	tk := s.find(0)
-	if tk == nil {
-		t.Fatal("find found nothing to steal")
-	}
-	// 10 on the victim: the first steal takes 1, the batch takes half the
-	// remaining 9 -> 4 extras, 5 tasks total.
-	if stats.Steals != 5 || stats.BatchSteals != 1 || stats.BatchStolenTasks != 5 {
-		t.Fatalf("Steals/BatchSteals/BatchStolenTasks = %d/%d/%d, want 5/1/5",
-			stats.Steals, stats.BatchSteals, stats.BatchStolenTasks)
-	}
-	if s.lastVictim[0] != 1 {
-		t.Fatalf("lastVictim[0] = %d, want 1", s.lastVictim[0])
-	}
-	// The extras are on the thief's own deque now: the next finds must pop
-	// locally without another steal.
-	for i := 0; i < 4; i++ {
-		if tk := s.find(0); tk == nil {
-			t.Fatalf("extra %d missing from thief deque", i)
-		}
-	}
-	if stats.Steals != 5 {
-		t.Fatalf("extras were not served locally: Steals = %d", stats.Steals)
-	}
-	// Victim keeps the other half.
-	left := 0
-	for s.find(1) != nil {
-		left++
-	}
-	if left != 5 {
-		t.Fatalf("victim kept %d tasks, want 5", left)
-	}
-}
-
-// TestBatchedStealCap: the batch never exceeds stealBatchMax tasks total,
-// no matter how deep the victim's deque is.
-func TestBatchedStealCap(t *testing.T) {
-	var stats Stats
-	s := newStealScheduler(2, &stats, nil)
-	s.affinity = true
-	n := &graph.Node{Name: "op"}
-	for i := 0; i < 100; i++ {
-		s.pushLocalQuiet(1, &task{node: n, from: 1}, PriNormal)
-	}
-	if tk := s.find(0); tk == nil {
-		t.Fatal("find found nothing to steal")
-	}
-	if stats.BatchStolenTasks != stealBatchMax {
-		t.Fatalf("BatchStolenTasks = %d, want cap %d", stats.BatchStolenTasks, stealBatchMax)
-	}
-}
-
-// TestAffinityStressRepeatedRuns hammers the batched-steal path: many
-// workers, wide fan-out, fresh engines, every run bit-identical and
-// leak-free with coherent counters.
+// TestAffinityStressRepeatedRuns hammers the work-stealing scheduler with a
+// planned program: many workers, wide fan-out, fresh engines, every run
+// bit-identical and leak-free, with the hints ignored.
 func TestAffinityStressRepeatedRuns(t *testing.T) {
 	g := compileAffinity(t)
 	var ref string
@@ -206,9 +165,9 @@ func TestAffinityStressRepeatedRuns(t *testing.T) {
 		if st.Blocks.Allocated != st.Blocks.Freed {
 			t.Fatalf("run %d: leak: allocated %d freed %d", i, st.Blocks.Allocated, st.Blocks.Freed)
 		}
-		if st.BatchStolenTasks < st.BatchSteals {
-			t.Fatalf("run %d: batch counters incoherent: %d events, %d tasks",
-				i, st.BatchSteals, st.BatchStolenTasks)
+		if st.AffinityHits != 0 || st.AffinityMisses != 0 {
+			t.Fatalf("run %d: Real run counted affinity dispatches: hits=%d misses=%d",
+				i, st.AffinityHits, st.AffinityMisses)
 		}
 	}
 }

@@ -111,14 +111,14 @@ type Config struct {
 	// Affinity selects the simulated scheduler's placement policy.
 	Affinity AffinityPolicy
 	// AffinityHints activates the compile-time affinity plan's placement
-	// hints (programs compiled with compile.Options.Affinity). In Real mode
-	// the hints drive producer-preferred dispatch (the preferred consumer is
-	// popped first on the completing worker) and batched, locality-ranked
-	// stealing; in Simulated mode they drive hint-first placement (the
-	// preferred producer's processor, when free). Hints are advisory-only —
-	// they choose WHERE ready work runs, never whether or with what inputs —
-	// so results are bit-identical with hints on or off, and unplanned
-	// programs ignore the flag entirely (scheduling stays byte-identical).
+	// hints (programs compiled with compile.Options.Affinity) in Simulated
+	// mode: a hinted node runs on its preferred producer's processor when
+	// that processor is free, keeping the producer's blocks local on a
+	// NUMA profile. Hints choose where ready work runs, never whether or
+	// with what inputs, so results are bit-identical with hints on or off.
+	// The Real executor ignores the flag: there the hints showed no
+	// wall-clock gain over plain work stealing, so it keeps one hint-free
+	// steal policy. Unplanned programs ignore it in both modes.
 	AffinityHints bool
 	// DisablePriorities collapses the three-level ready queue into a single
 	// level (a FIFO in Simulated mode, one deque per worker in Real mode) —
@@ -266,10 +266,9 @@ type Engine struct {
 	// as supernodes and order simultaneously-ready nodes by bottom level.
 	fused bool
 
-	// affinity is prog.AffinityPlanned && cfg.AffinityHints: the executors
-	// then activate producer-preferred dispatch, batched locality-ranked
-	// stealing (Real) and hint-first placement (Simulated). Purely advisory
-	// — see Config.AffinityHints.
+	// affinity is prog.AffinityPlanned && cfg.AffinityHints in Simulated
+	// mode: the simulator then places hinted nodes on their preferred
+	// producer's processor. See Config.AffinityHints.
 	affinity bool
 
 	// sched is the real executor's work-stealing scheduler, created on the
@@ -295,7 +294,7 @@ type Engine struct {
 // many engines; templates are immutable.
 func New(prog *graph.Program, cfg Config) *Engine {
 	e := &Engine{prog: prog, cfg: cfg, maxOps: cfg.MaxOps, fused: prog.Fused,
-		affinity: prog.AffinityPlanned && cfg.AffinityHints}
+		affinity: prog.AffinityPlanned && cfg.AffinityHints && cfg.Mode == Simulated}
 	if cfg.Mode == Simulated {
 		e.simPools = make(map[*graph.Template][]*activation)
 	}
@@ -402,10 +401,9 @@ func (e *Engine) SetMaxOps(n int64) error {
 func (e *Engine) scheduler(workers int) *stealScheduler {
 	if e.sched == nil {
 		e.sched = newStealScheduler(workers, &e.stats, e.tracer)
-	} else {
-		e.sched.reopen(e.tracer)
+		return e.sched
 	}
-	e.sched.affinity = e.affinity
+	e.sched.reopen(e.tracer)
 	return e.sched
 }
 

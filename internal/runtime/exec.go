@@ -58,24 +58,15 @@ type worker struct {
 	// work-stealing deque); flushReady then pushes in reverse so pops come
 	// out in bottom-level order.
 	lifo bool
-	// prodID, under an active affinity plan, is the template-node id whose
-	// output complete() is currently delivering; flushReady compares it
-	// against each ready node's AffPreferred to tag producer-preferred
-	// wakeups. Only meaningful inside complete (engine affinity on).
-	prodID int32
-	// pref is set by schedReady just before each w.sched call when the
-	// ready node prefers the completing producer; the real executor's
-	// sched closure copies it into the task's provenance.
-	pref bool
 	// selfSlot, set before each task execution by the real worker loop,
 	// lets the first local push of that execution skip the notifyOne
 	// self-wake: the pusher is guaranteed to rescan its own deques before
 	// parking, so one pushed task per execution needs no wake token.
 	selfSlot bool
-	// taskStolen/taskAff mirror the provenance of the task currently
-	// executing (timing enabled only), so fused per-member entries carry
-	// the same stolen/affinity marks as top-level ones.
-	taskStolen, taskAff bool
+	// taskStolen mirrors the provenance of the task currently executing
+	// (timing enabled only), so fused per-member entries carry the same
+	// stolen mark as top-level ones.
+	taskStolen bool
 	// base is the real executor's run start, the zero point for the
 	// per-member timing entries a fused dispatch records.
 	base time.Time
@@ -680,9 +671,6 @@ func (e *Engine) expand(w *worker, a *activation, n *graph.Node, callee *graph.T
 // initActivation seeds parameters and constants (never scheduled) and
 // enqueues every node that is runnable from the start.
 func (e *Engine) initActivation(w *worker, a *activation, args []value.Value) {
-	// Start-runnable nodes have no completing producer; clear any
-	// preferred-wakeup tag left by an earlier flushReady on this worker.
-	w.pref = false
 	for _, n := range a.tmpl.Nodes {
 		if n.Fused {
 			// Members never schedule individually; a cluster with no
@@ -711,11 +699,6 @@ func (e *Engine) initActivation(w *worker, a *activation, args []value.Value) {
 // bubbles the value through the continuation chain iteratively.
 func (e *Engine) complete(w *worker, a *activation, n *graph.Node, v value.Value) {
 	for {
-		if e.affinity {
-			// Record the delivering producer so flushReady can tag wakeups
-			// on its preferred out edge (producer-preferred dispatch).
-			w.prodID = int32(n.ID)
-		}
 		if n.FuseInternalOut {
 			// Chain-internal handoff inside a fused supernode: the single
 			// consumer is the next member, already dispatched as part of this
@@ -812,7 +795,7 @@ func (e *Engine) flushReady(w *worker, a *activation) {
 	}
 	if !e.fused || len(ready) == 1 {
 		for _, n := range ready {
-			e.schedReady(w, a, n)
+			w.sched(a, n)
 		}
 	} else {
 		// Stable insertion sort, descending bottom level: ready sets are
@@ -822,50 +805,17 @@ func (e *Engine) flushReady(w *worker, a *activation) {
 				ready[j], ready[j-1] = ready[j-1], ready[j]
 			}
 		}
-		if e.affinity {
-			// Producer-preferred dispatch: the consumer on the completing
-			// node's preferred edge moves to the pop-first slot so it runs
-			// next on this worker, inheriting its block hot. Heavy-tier
-			// nodes win over light ones; everything else keeps the
-			// bottom-level order. Advisory only — membership of the ready
-			// set is untouched, so results cannot change.
-			best := -1
-			for i, n := range ready {
-				if n.AffPreferred >= 0 && int32(n.AffPreferred) == w.prodID {
-					if best < 0 || (n.AffHeavy && !ready[best].AffHeavy) {
-						best = i
-					}
-				}
-			}
-			if best > 0 {
-				n := ready[best]
-				copy(ready[1:best+1], ready[:best])
-				ready[0] = n
-			}
-		}
 		if w.lifo {
 			for i := len(ready) - 1; i >= 0; i-- {
-				e.schedReady(w, a, ready[i])
+				w.sched(a, ready[i])
 			}
 		} else {
 			for _, n := range ready {
-				e.schedReady(w, a, n)
+				w.sched(a, n)
 			}
 		}
 	}
 	w.ready = ready[:0]
-}
-
-// schedReady hands one ready node to the worker's scheduler, tagging it
-// first (under an active affinity plan) as producer-preferred when the
-// node's AffPreferred edge is the one just completed. The real executor's
-// sched closure copies w.pref into the task's provenance; other executors
-// ignore it.
-func (e *Engine) schedReady(w *worker, a *activation, n *graph.Node) {
-	if e.affinity {
-		w.pref = n.AffPreferred >= 0 && int32(n.AffPreferred) == w.prodID
-	}
-	w.sched(a, n)
 }
 
 // finishNode retires one node; the last retirement recycles the activation.

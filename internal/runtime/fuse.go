@@ -141,7 +141,7 @@ func (e *Engine) execFused(w *worker, a *activation, c *graph.Cluster) error {
 		}
 		if e.timing != nil && n.Kind == graph.OpNode {
 			entry := TimingEntry{Name: n.Name, Template: tmpl.Name, Proc: w.proc, Fused: true,
-				Stolen: w.taskStolen, Affinity: w.taskAff}
+				Stolen: w.taskStolen}
 			if sim {
 				entry.Start, entry.Ticks = simStart, memberEnd-simStart
 			} else {

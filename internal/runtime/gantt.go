@@ -53,8 +53,8 @@ func (l *TimingLog) Gantt(width int) string {
 			c1 = width
 		}
 		label := e.Name
-		// A stolen task's segment opens with '%', an affinity dispatch
-		// (ran on its preferred producer's worker) with '+'.
+		// A stolen task's segment opens with '%', a simulated affinity hit
+		// (placed on its preferred producer's processor) with '+'.
 		mark := byte(0)
 		if e.Stolen {
 			mark, marked = '%', true

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -121,7 +120,7 @@ func (e *Engine) workerLoop(proc int, s *stealScheduler, start time.Time) {
 	w := &worker{e: e, proc: proc, tr: e.tracer, mem: e.memState(proc), base: start, lifo: true}
 	w.sched = func(a *activation, n *graph.Node) {
 		e.outstanding.Add(1)
-		t := &task{act: a, node: n, from: int32(proc), pref: w.pref}
+		t := &task{act: a, node: n, from: int32(proc)}
 		pri := e.classify(a, n)
 		if w.selfSlot {
 			// First push of the current execution: this worker rescans its
@@ -145,31 +144,11 @@ func (e *Engine) workerLoop(proc int, s *stealScheduler, start time.Time) {
 			s.park(proc)
 			continue
 		}
-		if e.affinity && t.pref {
-			// Preferred-edge dispatch outcome: a hit ran on the worker that
-			// completed its preferred producer (warm cache), a miss migrated
-			// (stolen, or re-pushed through the injector).
-			hit := t.from == int32(proc)
-			if hit {
-				atomic.AddInt64(&e.stats.AffinityHits, 1)
-			} else {
-				atomic.AddInt64(&e.stats.AffinityMisses, 1)
-			}
-			if e.tracer != nil {
-				var arg int64
-				if hit {
-					arg = 1
-				}
-				e.tracer.record(proc, TraceEvent{Type: TraceAffinity, Ts: e.tracer.now(),
-					Act: t.act.seq, Node: int32(t.node.ID), Arg: arg})
-			}
-		}
 		w.selfSlot = true
 		var t0 time.Time
 		if e.timing != nil || e.tracer != nil {
 			t0 = time.Now()
 			w.taskStolen = t.from >= 0 && t.from != int32(proc)
-			w.taskAff = e.affinity && t.pref && t.from == int32(proc)
 		}
 		// Capture the activation identity before execNode: the last
 		// node of an activation recycles it, and a pool reuse (even
@@ -201,7 +180,6 @@ func (e *Engine) workerLoop(proc int, s *stealScheduler, start time.Time) {
 				Start:    int64(t0.Sub(start)),
 				Ticks:    int64(time.Since(t0)),
 				Stolen:   w.taskStolen,
-				Affinity: w.taskAff,
 			})
 		}
 		if e.outstanding.Add(-1) == 0 {
@@ -225,7 +203,7 @@ func (e *Engine) runRealSerial(args []value.Value) (value.Value, error) {
 	var q serialQueue
 	w := &worker{e: e, proc: 0, tr: e.tracer, mem: e.memState(0)}
 	w.sched = func(a *activation, n *graph.Node) {
-		q.push(task{act: a, node: n, pref: w.pref}, e.classify(a, n))
+		q.push(task{act: a, node: n}, e.classify(a, n))
 	}
 
 	start := time.Now()
@@ -243,17 +221,9 @@ func (e *Engine) runRealSerial(args []value.Value) (value.Value, error) {
 		if !ok {
 			break
 		}
-		if e.affinity && t.pref {
-			// One worker: every preferred dispatch trivially runs where its
-			// producer did, so the hit-rate denominator stays comparable
-			// across worker counts.
-			atomic.AddInt64(&e.stats.AffinityHits, 1)
-		}
 		var t0 time.Time
 		if e.timing != nil || e.tracer != nil {
 			t0 = time.Now()
-			w.taskStolen = false
-			w.taskAff = e.affinity && t.pref
 		}
 		actSeq, nodeID := t.act.seq, int32(t.node.ID)
 		if e.tracer != nil {
@@ -276,7 +246,6 @@ func (e *Engine) runRealSerial(args []value.Value) (value.Value, error) {
 				Proc:     0,
 				Start:    int64(t0.Sub(start)),
 				Ticks:    int64(time.Since(t0)),
-				Affinity: w.taskAff,
 			})
 		}
 	}

@@ -8,18 +8,14 @@ import (
 	"repro/internal/graph"
 )
 
-// task is one runnable node of one activation, tagged with scheduling
-// provenance: from is the worker that pushed it (-1 for pushes arriving
-// through the injector from outside the pool) and pref marks a
-// producer-preferred wakeup — the pushing worker had just completed this
-// node's AffPreferred producer. Provenance feeds the affinity hit/miss
-// counters and the timing log's stolen/affinity marks; it never
-// influences what executes.
+// task is one runnable node of one activation, tagged with the worker
+// that pushed it (from; -1 for pushes arriving through the injector from
+// outside the pool). Provenance feeds the timing log's stolen marks; it
+// never influences what executes.
 type task struct {
 	act  *activation
 	node *graph.Node
 	from int32
-	pref bool
 }
 
 // This file implements the real executor's work-stealing ready queue — the
@@ -243,29 +239,14 @@ type stealScheduler struct {
 	// tr, when non-nil, records steal and park/unpark events. Each worker
 	// records only under its own id, so no lock is needed.
 	tr *tracer
-
-	// affinity, set per run by the engine, enables batched and
-	// locality-ranked stealing (advisory: it changes where work runs,
-	// never what runs). Written only between runs, read by workers.
-	affinity bool
-	// lastVictim[w] is the victim worker w last stole from successfully
-	// (-1 none). Under affinity the next sweep tries it first: a worker
-	// that found transferable work once tends to keep producing it (it is
-	// running the hot chains), so related tasks migrate together and bring
-	// their blocks with them. Each slot is written only by its owner.
-	lastVictim []int32
 }
 
 func newStealScheduler(workers int, stats *Stats, tr *tracer) *stealScheduler {
 	s := &stealScheduler{
-		local:      make([]workerDeques, workers),
-		parkers:    make([]parker, workers),
-		stats:      stats,
-		tr:         tr,
-		lastVictim: make([]int32, workers),
-	}
-	for w := range s.lastVictim {
-		s.lastVictim[w] = -1
+		local:   make([]workerDeques, workers),
+		parkers: make([]parker, workers),
+		stats:   stats,
+		tr:      tr,
 	}
 	for w := range s.local {
 		for pri := range s.local[w].d {
@@ -341,40 +322,16 @@ func (s *stealScheduler) find(wid int) *task {
 		}
 	}
 	n := len(s.local)
-	last := -1
-	if s.affinity {
-		// Locality ranking: retry the last productive victim first — the
-		// worker running the hot chains keeps producing transferable work,
-		// so stolen tasks tend to arrive with their siblings.
-		if v := s.lastVictim[wid]; v >= 0 && int(v) != wid {
-			last = int(v)
-			if t := s.stealFrom(wid, last); t != nil {
-				return t
-			}
-		}
-	}
 	for off := 1; off < n; off++ {
-		vid := (wid + off) % n
-		if vid == last {
-			continue
-		}
-		if t := s.stealFrom(wid, vid); t != nil {
+		if t := s.stealFrom(wid, (wid+off)%n); t != nil {
 			return t
 		}
 	}
 	return nil
 }
 
-// stealBatchMax caps the tasks one steal event may transfer (the first
-// returned task plus the extras parked on the thief's own deque).
-const stealBatchMax = 8
-
 // stealFrom attempts one steal from victim vid for worker wid, honoring
-// the per-victim priority order. Under affinity a hit turns into a batched
-// grab: up to half of the victim's remaining visible work at that priority
-// (capped at stealBatchMax) moves to the thief in one sweep, so a thief
-// that crossed the steal path once amortizes it over several tasks instead
-// of paying a full find() per task.
+// the per-victim priority order.
 func (s *stealScheduler) stealFrom(wid, vid int) *task {
 	victim := &s.local[vid]
 	for pri := range victim.d {
@@ -382,20 +339,8 @@ func (s *stealScheduler) stealFrom(wid, vid int) *task {
 			t, retry := victim.d[pri].steal()
 			if t != nil {
 				atomic.AddInt64(&s.stats.Steals, 1)
-				took := 1
-				if s.affinity {
-					took += s.stealExtra(wid, vid, pri)
-					s.lastVictim[wid] = int32(vid)
-					if took > 1 {
-						atomic.AddInt64(&s.stats.BatchSteals, 1)
-						atomic.AddInt64(&s.stats.BatchStolenTasks, int64(took))
-					}
-				}
 				if s.tr != nil {
 					s.tr.record(wid, TraceEvent{Type: TraceSteal, Ts: s.tr.now(), Arg: int64(vid)})
-					if took > 1 {
-						s.tr.record(wid, TraceEvent{Type: TraceBatchSteal, Ts: s.tr.now(), Arg: int64(took)})
-					}
 				}
 				return t
 			}
@@ -406,42 +351,6 @@ func (s *stealScheduler) stealFrom(wid, vid int) *task {
 		}
 	}
 	return nil
-}
-
-// stealExtra is the batched half of an affinity steal: after wid claimed
-// one task from vid at priority pri, it grabs up to half of the victim's
-// remaining visible work there and parks it on its OWN deque at the same
-// priority. Every element is still claimed by an individual top CAS — a
-// single range-CAS would race the owner's plain (non-CAS) pop of bottom
-// elements and could take a task the owner already ran — so the grab is
-// CAS-bounded, not range-based. Returns how many extras moved.
-func (s *stealScheduler) stealExtra(wid, vid, pri int) int {
-	d := &s.local[vid].d[pri]
-	budget := (d.bottom.Load() - d.top.Load()) / 2
-	if budget > stealBatchMax-1 {
-		budget = stealBatchMax - 1
-	}
-	took := 0
-	for int64(took) < budget {
-		t, retry := d.steal()
-		if t == nil {
-			if retry {
-				// Another thief is racing the same top; leave the rest to
-				// it instead of fighting over the counter.
-				atomic.AddInt64(&s.stats.StealContention, 1)
-			}
-			break
-		}
-		atomic.AddInt64(&s.stats.Steals, 1)
-		s.local[wid].d[pri].push(t)
-		took++
-	}
-	if took > 0 {
-		// The extras landed without notifies; wake one parked peer so an
-		// otherwise-drained pool can come steal them back if wid stalls.
-		s.notifyOne()
-	}
-	return took
 }
 
 // anyWork is the racy pre-park probe: it may report work that a racing
@@ -559,9 +468,6 @@ func (s *stealScheduler) drain() []*task {
 func (s *stealScheduler) reopen(tr *tracer) {
 	s.closed.Store(false)
 	s.tr = tr
-	for w := range s.lastVictim {
-		s.lastVictim[w] = -1
-	}
 	s.idleMu.Lock()
 	s.idle = s.idle[:0]
 	s.nidle.Store(0)

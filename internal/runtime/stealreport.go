@@ -6,30 +6,17 @@ import (
 )
 
 // SchedReport aggregates a run's scheduler behavior from the structured
-// trace: per-worker steals (with batched-steal task counts), parks, and —
-// under an active affinity plan — preferred-edge dispatch hits and misses.
-// It is the data behind `delprof -steals`, turning the raw event stream
-// into the load-balance summary the §5.2 workflow wants: which workers ran
-// dry, where their work came from, and how often the producer-preferred
-// dispatch actually kept a consumer on its producer's processor.
+// trace: per-worker steals and parks. It is the data behind
+// `delprof -steals`, turning the raw event stream into the load-balance
+// summary the §5.2 workflow wants: which workers ran dry and how often
+// they had to take work from a peer.
 
 // WorkerSched is one worker's scheduler activity for a run.
 type WorkerSched struct {
-	// Steals counts successful steal events initiated by this worker (one
-	// per victim raid; a batched raid is still one event here).
+	// Steals counts tasks this worker took from another worker's deque.
 	Steals int64
-	// StolenTasks counts tasks this worker obtained by stealing, including
-	// the extra tasks a batched steal moved onto its own deque.
-	StolenTasks int64
-	// BatchSteals counts the steal events that moved more than one task.
-	BatchSteals int64
 	// Parks counts times this worker gave up spinning and slept.
 	Parks int64
-	// AffinityHits / AffinityMisses count preferred-edge dispatch outcomes
-	// observed at this worker's pops (hit = the task ran on the worker that
-	// completed its preferred producer).
-	AffinityHits   int64
-	AffinityMisses int64
 }
 
 // SchedReport is the aggregated scheduler summary; index Workers by
@@ -49,19 +36,8 @@ func (t *Trace) SchedReport() *SchedReport {
 			switch ev.Type {
 			case TraceSteal:
 				ws.Steals++
-				ws.StolenTasks++
-			case TraceBatchSteal:
-				// Follows its TraceSteal, which already counted one task.
-				ws.BatchSteals++
-				ws.StolenTasks += ev.Arg - 1
 			case TracePark:
 				ws.Parks++
-			case TraceAffinity:
-				if ev.Arg == 1 {
-					ws.AffinityHits++
-				} else {
-					ws.AffinityMisses++
-				}
 			}
 		}
 	}
@@ -71,34 +47,14 @@ func (t *Trace) SchedReport() *SchedReport {
 // Render formats the report as an aligned table plus totals.
 func (r *SchedReport) Render() string {
 	var b strings.Builder
-	b.WriteString("scheduler: per-worker steal/park/affinity report\n")
-	fmt.Fprintf(&b, "%-8s %8s %8s %8s %8s %10s %10s %9s\n",
-		"worker", "steals", "tasks", "batched", "parks", "aff-hits", "aff-miss", "hit-rate")
+	b.WriteString("scheduler: per-worker steal/park report\n")
+	fmt.Fprintf(&b, "%-8s %8s %8s\n", "worker", "steals", "parks")
 	var tot WorkerSched
-	for wid := range r.Workers {
-		ws := r.Workers[wid]
-		fmt.Fprintf(&b, "%-8d %8d %8d %8d %8d %10d %10d %9s\n",
-			wid, ws.Steals, ws.StolenTasks, ws.BatchSteals, ws.Parks,
-			ws.AffinityHits, ws.AffinityMisses, hitRate(ws.AffinityHits, ws.AffinityMisses))
+	for wid, ws := range r.Workers {
+		fmt.Fprintf(&b, "%-8d %8d %8d\n", wid, ws.Steals, ws.Parks)
 		tot.Steals += ws.Steals
-		tot.StolenTasks += ws.StolenTasks
-		tot.BatchSteals += ws.BatchSteals
 		tot.Parks += ws.Parks
-		tot.AffinityHits += ws.AffinityHits
-		tot.AffinityMisses += ws.AffinityMisses
 	}
-	fmt.Fprintf(&b, "%-8s %8d %8d %8d %8d %10d %10d %9s\n",
-		"total", tot.Steals, tot.StolenTasks, tot.BatchSteals, tot.Parks,
-		tot.AffinityHits, tot.AffinityMisses, hitRate(tot.AffinityHits, tot.AffinityMisses))
-	if tot.Steals > 0 {
-		fmt.Fprintf(&b, "tasks per steal: %.2f\n", float64(tot.StolenTasks)/float64(tot.Steals))
-	}
+	fmt.Fprintf(&b, "%-8s %8d %8d\n", "total", tot.Steals, tot.Parks)
 	return b.String()
-}
-
-func hitRate(hits, misses int64) string {
-	if hits+misses == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(hits+misses))
 }

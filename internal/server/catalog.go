@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jacobi"
 	"repro/internal/operator"
-	"repro/internal/opt"
 	"repro/internal/prelude"
 	"repro/internal/queens"
 	"repro/internal/runtime"
@@ -68,24 +67,15 @@ func jacobiSpec(name string, n, workers int) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	// Affinity hints are advisory (results stay bit-identical), so the
-	// served engines always run with them on, keeping the /metrics
-	// hit/miss counters live.
-	opt.PlanAffinity(prog)
 	return Spec{
 		Name: name,
 		Prog: prog,
 		Base: runtime.Config{Mode: runtime.Real, Workers: workers,
-			MaxOps: 100_000_000, OpTimeout: 5 * time.Second, AffinityHints: true},
+			MaxOps: 100_000_000, OpTimeout: 5 * time.Second},
 		Recompile: func(prof map[string]int64) (*graph.Program, error) {
 			c := cfg
 			c.FuseProfile = prof
-			tuned, err := jacobi.CompileProgram(c)
-			if err != nil {
-				return nil, err
-			}
-			opt.PlanAffinity(tuned)
-			return tuned, nil
+			return jacobi.CompileProgram(c)
 		},
 		Render: func(v value.Value) (any, error) {
 			st, err := jacobi.StateOf(v)
@@ -114,9 +104,8 @@ func queensSpec(name string, n, workers int, chaosSeed int64) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	opt.PlanAffinity(prog)
 	base := runtime.Config{Mode: runtime.Real, Workers: workers,
-		MaxOps: 100_000_000, OpTimeout: 5 * time.Second, AffinityHints: true}
+		MaxOps: 100_000_000, OpTimeout: 5 * time.Second}
 	var faults func() *runtime.FaultPlan
 	if chaosSeed != 0 {
 		// The queens operators are pure over immutable boards and marked
@@ -134,12 +123,7 @@ func queensSpec(name string, n, workers int, chaosSeed int64) (Spec, error) {
 		Base:   base,
 		Faults: faults,
 		Recompile: func(prof map[string]int64) (*graph.Program, error) {
-			tuned, err := queens.CompileProgramProfiled(n, true, prof)
-			if err != nil {
-				return nil, err
-			}
-			opt.PlanAffinity(tuned)
-			return tuned, nil
+			return queens.CompileProgramProfiled(n, true, prof)
 		},
 		Render: func(v value.Value) (any, error) {
 			sols, err := queens.Solutions(v)
@@ -163,7 +147,7 @@ func CompileSource(name, src string, workers int, fuse, memPlan, withPrelude boo
 		src = prelude.Source() + "\n" + src
 	}
 	res, err := compile.Compile(name+".dlr", src, compile.Options{
-		Registry: operator.Builtins(), Fuse: fuse, MemPlan: memPlan, Affinity: fuse})
+		Registry: operator.Builtins(), Fuse: fuse, MemPlan: memPlan})
 	if err != nil {
 		return Spec{}, err
 	}
@@ -171,14 +155,14 @@ func CompileSource(name, src string, workers int, fuse, memPlan, withPrelude boo
 		Name: name,
 		Prog: res.Program,
 		Base: runtime.Config{Mode: runtime.Real, Workers: workers,
-			MaxOps: 100_000_000, OpTimeout: 5 * time.Second, AffinityHints: true},
+			MaxOps: 100_000_000, OpTimeout: 5 * time.Second},
 		Recompile: func(prof map[string]int64) (*graph.Program, error) {
 			// Re-fuse the posted source with measured weights. Fusion is
 			// forced on even when registration skipped it: the profile is
 			// only consumable through fusion priorities.
 			tuned, err := compile.Compile(name+".dlr", src, compile.Options{
 				Registry: operator.Builtins(), Fuse: true, MemPlan: memPlan,
-				FuseProfile: prof, Affinity: true})
+				FuseProfile: prof})
 			if err != nil {
 				return nil, err
 			}
